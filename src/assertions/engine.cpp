@@ -67,19 +67,34 @@ AssertionEngine::assertAllDead(MutatorContext &mutator)
                      mutator.name().c_str()));
     mutator.setInRegion(false);
     std::vector<Object *> queue = mutator.takeRegionQueue();
+    // A labeled region's label is interned once, in this cycle's
+    // label table; its objects reach it through their header tag.
+    size_t index = 0;
+    if (!mutator.regionLabel_.empty() && !queue.empty()) {
+        regionLabelTable_.push_back(std::move(mutator.regionLabel_));
+        index = regionLabelTable_.size();
+    }
+    mutator.regionLabel_.clear();
+    uint32_t tag = index <= kMaxOwnerTag ? static_cast<uint32_t>(index) : 0;
     // Flushing the queue reuses assert-dead's mechanism: one header
-    // bit per object, no extra metadata survives the flush. The
-    // kRegionBit is retained so a violation is attributed to
-    // assert-alldead rather than assert-dead.
-    for (Object *obj : queue)
-        obj->setFlag(kDeadBit);
-    // Labeled regions additionally remember which region each
-    // flushed object came from, so a violation can name it. The map
-    // only grows until the next full trace consumes every verdict.
-    if (!mutator.regionLabel_.empty()) {
-        for (Object *obj : queue)
-            regionLabels_[obj] = mutator.regionLabel_;
-        mutator.regionLabel_.clear();
+    // store per object, which sets the dead bit and the label tag
+    // together. The kRegionBit is retained so a violation is
+    // attributed to assert-alldead rather than assert-dead. Ownees
+    // and overflow regions take the fallback map; once it holds
+    // anything, a minor GC may have freed one of its objects and
+    // recycled the address into this queue, so each flushed object
+    // first drops any stale entry.
+    bool drop_stale = !labelFallback_.empty();
+    for (Object *obj : queue) {
+        if (drop_stale)
+            labelFallback_.erase(obj);
+        if (tag != 0 && !obj->testFlag(kOwneeBit)) {
+            obj->setFlagAndTag(kDeadBit, tag);
+        } else {
+            obj->setFlag(kDeadBit);
+            if (index != 0)
+                labelFallback_[obj] = index;
+        }
     }
     stats_.regionObjectsFlushed += queue.size();
     ++stats_.assertAllDeadCalls;
@@ -123,6 +138,10 @@ AssertionEngine::assertOwnedBy(Object *owner, Object *ownee)
     // Same first-time gate as assert-unshared: duplicate pairs are
     // ignored by the table, and the region tally mirrors kOwneeBit.
     bool newly_tracked = ownee && !ownee->testFlag(kOwneeBit);
+    // The owner tag is about to take the header's tag field; a
+    // region label tag already there moves to the fallback map.
+    if (newly_tracked && ownee->ownerTag() != 0)
+        labelFallback_[ownee] = ownee->ownerTag();
     ownership_.addPair(owner, ownee);
     if (incremental_ && newly_tracked)
         incremental_->noteOwneePair(owner, ownee);
@@ -198,14 +217,21 @@ AssertionEngine::onTraceDone(AssertCostTallies *cost)
 
     // Region queues: drop entries that died in this collection so
     // the queues never hold dangling pointers. Region labels are all
-    // consumed by now — every flushed object was either reported
-    // during this trace or is about to be swept — so the map resets
-    // before lazy sweeping can recycle any of its addresses.
+    // consumed by now: every flushed object was either reported
+    // during this trace or is about to be swept. The reported ones
+    // that stay reachable lose their tag (a sticky re-report at the
+    // next GC carries no label), then the table and fallback map
+    // reset. Tags are never cleared while markers run.
     {
         CostScope scope(cost, AssertCostKind::AllDead);
         mutators_.forEach(
             [](MutatorContext &mutator) { mutator.pruneRegionQueue(); });
-        regionLabels_.clear();
+        if (!regionLabelTable_.empty()) {
+            for (Object *obj : reportedThisGc_)
+                forgetRegionLabel(obj);
+            regionLabelTable_.clear();
+            labelFallback_.clear();
+        }
     }
 
     // Ownership table: drop satisfied pairs; convert ownees that
@@ -306,7 +332,7 @@ AssertionEngine::report(Violation violation)
 }
 
 bool
-AssertionEngine::alreadyReported(const Object *obj)
+AssertionEngine::alreadyReported(Object *obj)
 {
     return !reportedThisGc_.insert(obj).second;
 }

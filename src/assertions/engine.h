@@ -207,7 +207,20 @@ class AssertionEngine {
      * @return true if @p obj has already been reported this GC
      *         (and records it otherwise).
      */
-    bool alreadyReported(const Object *obj);
+    bool alreadyReported(Object *obj);
+
+    /**
+     * Drop @p obj's region label tag, if it carries one. For objects
+     * that survive a full trace without a verdict settling them (a
+     * finalizable object the collector revives): the label table
+     * they index is reset when the trace finishes.
+     */
+    static void
+    forgetRegionLabel(Object *obj)
+    {
+        if (!obj->testFlag(kOwneeBit))
+            obj->setOwnerTag(0);
+    }
 
     /**
      * Merge and report violations recorded by parallel markers.
@@ -264,16 +277,25 @@ class AssertionEngine {
 
     /**
      * Label of the labeled region @p obj was flushed from, or
-     * nullptr for unlabeled regions. Written only by assertAllDead
-     * (under the runtime's exclusive lock) and cleared at the end of
-     * every full trace, so reads during a collection — including by
-     * parallel markers — see a frozen map.
+     * nullptr for unlabeled regions. @p flags is @p obj's flag word
+     * as the caller already loaded it. Tags, the label table and the
+     * fallback map are written by assertAllDead and assertOwnedBy
+     * (under the runtime's exclusive lock) and reset only after the
+     * trace, so reads during it — including from a parallel
+     * marker's flag snapshot — see frozen state.
      */
     const std::string *
-    regionLabelOf(const Object *obj) const
+    regionLabelOf(const Object *obj, uint32_t flags) const
     {
-        auto it = regionLabels_.find(obj);
-        return it == regionLabels_.end() ? nullptr : &it->second;
+        uint32_t tag = (flags & kOwneeBit) ? 0 : flags >> kOwnerTagShift;
+        if (tag != 0)
+            return &regionLabelTable_[tag - 1];
+        if (labelFallback_.empty())
+            return nullptr;
+        auto it = labelFallback_.find(obj);
+        return it == labelFallback_.end()
+            ? nullptr
+            : &regionLabelTable_[it->second - 1];
     }
 
     /** Current collection number (0 before the first GC). */
@@ -297,12 +319,26 @@ class AssertionEngine {
     AssertionStats stats_;
 
     std::vector<Violation> violations_;
-    std::unordered_set<const Object *> reportedThisGc_;
-    /** Flushed-object -> region label for labeled regions. Every
-     *  entry is settled (reported or swept) by the end of the next
-     *  full trace, so onTraceDone clears the map wholesale — no
-     *  stale label can outlive an address reuse. */
-    std::unordered_map<const Object *, std::string> regionLabels_;
+    std::unordered_set<Object *> reportedThisGc_;
+    /**
+     * Labels of the labeled regions flushed since the last full
+     * trace, one entry per region; a flushed object reaches its
+     * label through its header tag (1 + index). onTraceDone resets
+     * the table after clearing the tags of the flushed objects the
+     * trace found reachable. Unreachable ones keep their tag until
+     * the sweep frees them, and a freed cell's header is
+     * reformatted on reuse — so a later object at the same address,
+     * including one reused after a minor GC, never inherits a label.
+     */
+    std::vector<std::string> regionLabelTable_;
+    /**
+     * Label index (1-based) of flushed objects whose tag field is
+     * unavailable: ownees (the field holds the owner tag) and
+     * objects of regions past kMaxOwnerTag in one cycle. Reset with
+     * the table. Every flush drops its objects' stale entries, so an
+     * address a minor GC freed and recycled cannot keep one.
+     */
+    std::unordered_map<const Object *, size_t> labelFallback_;
     uint64_t gcNumber_ = 0;
     /** Telemetry enrichment hook (see setViolationObserver). */
     std::function<void(Violation &)> violationObserver_;

@@ -123,6 +123,12 @@ Collector::resurrectFinalizables()
         pendingFinalizers_.emplace_back(obj, std::move(it->second.fn));
         finalizables_.erase(it);
     }
+    // A revived object was marked without a dead check, so unless a
+    // later edge reported it, no verdict settles a region label it
+    // may carry; drop the tag before the label table resets.
+    if (kInfra)
+        for (auto &[seq, obj] : dying)
+            AssertionEngine::forgetRegionLabel(obj);
 }
 
 CollectionResult
@@ -764,7 +770,8 @@ Collector::deadCheck(Object **slot, Object *obj)
     } else if (obj->testFlag(kRegionBit)) {
         kind = AssertionKind::AllDead;
         cost.reclassify(AssertCostKind::AllDead);
-        const std::string *label = engine_.regionLabelOf(obj);
+        const std::string *label =
+            engine_.regionLabelOf(obj, obj->rawFlags());
         what = label
             ? format("an object allocated in assert-alldead region "
                      "'%s' is reachable.", label->c_str())
@@ -1380,9 +1387,9 @@ Collector::parDeadCheck(Object **slot, Object *obj, uint32_t flags,
     } else if (flags & kRegionBit) {
         kind = AssertionKind::AllDead;
         cost.reclassify(AssertCostKind::AllDead);
-        // Read-only during the trace: labels are written only under
-        // the runtime's exclusive lock, never while markers run.
-        const std::string *label = engine_.regionLabelOf(obj);
+        // The snapshot's tag is consistent: tags are written only
+        // under the runtime's exclusive lock, never while markers run.
+        const std::string *label = engine_.regionLabelOf(obj, flags);
         what = label
             ? format("an object allocated in assert-alldead region "
                      "'%s' is reachable.", label->c_str())

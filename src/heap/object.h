@@ -148,16 +148,28 @@ void writeBarrierSlow(Object *src, Object **slot, Object *target);
 } // namespace detail
 
 /**
- * Bits [kOwnerTagShift, 32) of the flag word hold the *owner tag*
- * of a registered ownee: 1 + the owner's index in the ownership
- * table, or 0 for none. Keeping the tag in spare header bits makes
- * the ownership phase's belongs-to-this-owner test a single compare
- * on the already-loaded flag word (the same spare-bits economy the
- * paper applies to the mark/dead/unshared state).
+ * Bits [kOwnerTagShift, 32) of the flag word hold a *tag*, 0 for
+ * none, with one of two meanings chosen by kOwneeBit:
+ *
+ *  - on a registered ownee, the *owner tag*: 1 + the owner's index
+ *    in the ownership table. The ownership phase's
+ *    belongs-to-this-owner test is then a single compare on the
+ *    already-loaded flag word;
+ *  - on any other object, the *region tag* of an object flushed from
+ *    a labelled assert-alldead region: 1 + the index of the region's
+ *    label in the assertion engine's per-cycle label table. It is
+ *    written by the same store that sets kDeadBit, so naming the
+ *    region in a violation costs no per-object metadata.
+ *
+ * Ownees, and regions past kMaxOwnerTag in one cycle, keep their
+ * region label in a small engine-side side table instead. Either
+ * way this is the same spare-bits economy the paper applies to the
+ * mark/dead/unshared state.
  */
 constexpr uint32_t kOwnerTagShift = 12;
 
-/** Maximum owners representable in the tag field. */
+/** Maximum owners (or labelled regions per GC cycle) representable
+ *  in the tag field. */
 constexpr uint32_t kMaxOwnerTag = (1u << (32 - kOwnerTagShift)) - 1;
 
 /**
@@ -271,14 +283,23 @@ class Object {
     /** Convenience: the GC mark bit. */
     bool marked() const { return testFlag(kMarkBit); }
 
-    /** Ownee's owner tag (0 = not an ownee). */
+    /** The tag field (see kOwnerTagShift): an ownee's owner tag, or
+     *  a flushed region object's label tag; 0 = none. */
     uint32_t ownerTag() const { return flags_ >> kOwnerTagShift; }
 
-    /** Set the owner tag, preserving the low flag bits. */
+    /** Set the tag field, preserving the low flag bits. */
     void
     setOwnerTag(uint32_t tag)
     {
         flags_ = (flags_ & ((1u << kOwnerTagShift) - 1)) |
+            (tag << kOwnerTagShift);
+    }
+
+    /** Set @p f and the tag field in one header store. */
+    void
+    setFlagAndTag(ObjectFlag f, uint32_t tag)
+    {
+        flags_ = (flags_ & ((1u << kOwnerTagShift) - 1)) | f |
             (tag << kOwnerTagShift);
     }
 

@@ -60,9 +60,13 @@ HeapVerifier::verify() const
         if (obj->testFlag(kOwnedBit) && !obj->testFlag(kOwneeBit))
             report(obj, "stale per-GC owned bit on a non-ownee");
 
-        // Assertion-state consistency.
-        if (obj->ownerTag() != 0 && !obj->testFlag(kOwneeBit))
-            report(obj, "owner tag set on a non-ownee");
+        // Assertion-state consistency. The tag field is an owner tag
+        // on ownees and a region label tag on flushed region objects
+        // (kRegionBit|kDeadBit); anywhere else it is stray.
+        if (obj->ownerTag() != 0 && !obj->testFlag(kOwneeBit) &&
+            !(obj->testFlag(kRegionBit) && obj->testFlag(kDeadBit)))
+            report(obj, "owner tag set on a non-ownee that is not a "
+                        "flushed region object");
         if (obj->testFlag(kOrphanBit) && !obj->testFlag(kDeadBit))
             report(obj, "orphan bit without dead bit");
         if (obj->testFlag(kRegionBit) && !obj->testFlag(kDeadBit) &&

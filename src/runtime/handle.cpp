@@ -31,11 +31,12 @@ Handle::operator=(const Handle &other)
 
 Handle::Handle(Handle &&other) noexcept : runtime_(other.runtime_)
 {
+    // Root here before unrooting @p other: in between, the object
+    // would be rooted nowhere and a collection on another thread
+    // could sweep it.
     if (runtime_) {
-        Object *obj = other.node_.get();
-        const char *name = other.node_.name();
+        runtime_->addRoot(node_, other.node_.get(), other.node_.name());
         other.reset();
-        runtime_->addRoot(node_, obj, name);
     }
 }
 
@@ -47,10 +48,8 @@ Handle::operator=(Handle &&other) noexcept
     reset();
     runtime_ = other.runtime_;
     if (runtime_) {
-        Object *obj = other.node_.get();
-        const char *name = other.node_.name();
+        runtime_->addRoot(node_, other.node_.get(), other.node_.name());
         other.reset();
-        runtime_->addRoot(node_, obj, name);
     }
     return *this;
 }

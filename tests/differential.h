@@ -318,6 +318,52 @@ runRootedScenario(const RuntimeConfig &config, uint64_t seed,
             handles[victim].reset();
         }
 
+        // A small assert-alldead region, labeled in about half the
+        // windows, whose survivors (still rooted, or wired from an
+        // elder) are the next GC's alldead verdicts — so suites
+        // that key messages compare the region labels too. Now and
+        // then one region object is also made an ownee, before or
+        // after the flush: the label then lives off the header tag.
+        if (rng.chance(0.6)) {
+            std::string label;
+            if (rng.chance(0.5))
+                label = "window-" + std::to_string(w) + "/region";
+            rt.startRegion(nullptr, label);
+            size_t batch_begin = objs.size();
+            for (size_t i = 0, n = rng.range(2, 8); i < n; ++i)
+                stamp(rt.allocRaw(node_type));
+            for (size_t i = batch_begin; i < objs.size(); ++i) {
+                size_t elder = rooted_index();
+                if (slots_of(elder) > 0 && rng.chance(0.3))
+                    wire(elder,
+                         static_cast<uint32_t>(rng.below(slots_of(elder))),
+                         i);
+            }
+            size_t owner = 0, ownee = 0;
+            bool owned_before = false, owned_after = false;
+            if (rng.chance(0.4)) {
+                ownee = batch_begin + rng.below(objs.size() - batch_begin);
+                owner = rooted_index();
+                if (owner != ownee && slots_of(owner) > 0) {
+                    if (rng.chance(0.5))
+                        wire(owner, 0, ownee);
+                    owned_before = rng.chance(0.5);
+                    owned_after = !owned_before;
+                }
+            }
+            if (owned_before)
+                rt.assertOwnedBy(objs[owner], objs[ownee]);
+            rt.assertAllDead();
+            if (owned_after)
+                rt.assertOwnedBy(objs[owner], objs[ownee]);
+            for (size_t i = batch_begin; i < objs.size(); ++i) {
+                if (rng.chance(0.6)) {
+                    rooted[i] = 0;
+                    handles[i].reset();
+                }
+            }
+        }
+
         rt.collect();
         out.freedPerWindow.emplace_back();
     }
@@ -347,14 +393,16 @@ subSeed(uint64_t seed, uint64_t lane)
  * gc numbers — is scheduler-dependent, so the threaded equivalence
  * compares only whole-run aggregates that the program determines:
  * the total freed multiset (every non-escaped allocation dies by the
- * final collections), the violation multiset keyed "kind|type"
- * (each assert-dead on an escaped object reports exactly once: the
- * dead bit clears on first report), and the final live-object count.
+ * final collections), the violation multiset keyed
+ * "kind|type|message" (each dead or alldead claim on an escaped
+ * object reports exactly once: the dead bit clears on first report,
+ * and the message names the region label the program chose), and
+ * the final live-object count.
  */
 struct ThreadedOutcome {
     /** "type:id" keys of every object freed across the whole run. */
     std::multiset<std::string> freedTotal;
-    /** Violation keys "kind|type", order-insensitive. */
+    /** Violation keys "kind|type|message", order-insensitive. */
     std::multiset<std::string> violations;
     uint64_t liveObjects = 0;
     /** Informational only (scheduler-dependent). */
@@ -398,8 +446,10 @@ describeThreaded(const ThreadedOutcome &o)
  *    head's next pointer is rewired there, so the rest of its chain
  *    still dies) and then being assert-dead'ed — each escape yields
  *    exactly one Dead violation at the next full GC;
- *  - some rounds bracketed in a start-region / assert-alldead pair
- *    whose scratch all dies — contributing zero violations;
+ *  - some rounds bracketed in a start-region / assert-alldead pair,
+ *    about half of them labeled; such a round's head may escape as
+ *    well, which yields exactly one AllDead violation naming the
+ *    region's label (if any) at the next full GC;
  *  - occasional explicit collections from worker threads.
  *
  * What is allocated, what escapes, and what is asserted are all
@@ -457,8 +507,13 @@ runThreadedScenario(const RuntimeConfig &config, uint64_t seed,
             const uint64_t tag = (uint64_t{t} + 1) << 32;
             for (uint32_t round = 0; round < 40; ++round) {
                 bool in_region = rng.chance(0.3);
-                bool escape = !in_region && rng.chance(0.25);
-                if (in_region)
+                bool labeled = in_region && rng.chance(0.5);
+                bool escape = rng.chance(in_region ? 0.15 : 0.25);
+                if (labeled)
+                    rt.startRegion(&mutator,
+                                   "diff-" + std::to_string(t) +
+                                       "/round-" + std::to_string(round));
+                else if (in_region)
                     rt.startRegion(&mutator);
 
                 uint64_t len = rng.range(3, 9);
@@ -472,13 +527,15 @@ runThreadedScenario(const RuntimeConfig &config, uint64_t seed,
 
                 if (escape) {
                     // Rewire the head into the rooted shared list
-                    // (dropping its chain), then claim it dead: one
-                    // guaranteed Dead violation per escape.
+                    // (dropping its chain), then claim it dead — or,
+                    // in a region, let the flush below claim it: one
+                    // guaranteed Dead or AllDead violation per escape.
                     std::lock_guard<std::mutex> guard(shared_mutex);
                     rt.writeRef(head, next_slot,
                                 shared->ref(head_slot));
                     rt.writeRef(shared.get(), head_slot, head);
-                    rt.assertDead(head);
+                    if (!in_region)
+                        rt.assertDead(head);
                 }
 
                 // Unpin before any alldead flush so a collection in
@@ -504,7 +561,7 @@ runThreadedScenario(const RuntimeConfig &config, uint64_t seed,
         if (assertionKindContextOnly(v.kind))
             continue;
         out.violations.insert(std::string(assertionKindName(v.kind)) +
-                              "|" + v.offendingType);
+                              "|" + v.offendingType + "|" + v.message);
     }
     out.liveObjects = rt.heap().liveObjects();
     out.fullCollections = rt.gcStats().collections;

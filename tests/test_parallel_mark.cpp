@@ -129,9 +129,11 @@ runScenario(uint32_t mark_threads, uint64_t seed)
         rt.assertVolume(node_type, rng.range(1, 64) * 1024);
 
     // A region whose allocations partly escape into the live graph:
-    // the escapees violate assert-alldead, the rest satisfy it.
+    // the escapees violate assert-alldead, the rest satisfy it. Half
+    // the regions are labeled, so the compared messages carry the
+    // label the parallel markers read from their flag snapshots.
     if (rng.chance(0.6)) {
-        rt.startRegion();
+        rt.startRegion(nullptr, rng.chance(0.5) ? "pm-region" : "");
         for (size_t i = 0, n = rng.range(4, 24); i < n; ++i) {
             Object *obj = rt.allocRaw(node_type);
             if (rng.chance(0.35))

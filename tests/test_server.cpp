@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "heap/verifier.h"
 #include "runtime/runtime.h"
 #include "support/logging.h"
 #include "workloads/server.h"
@@ -292,6 +294,266 @@ TEST(Server, UnlabeledRegionMessageIsUnchanged)
                               "assert-alldead region is reachable"),
               std::string::npos)
         << v->message;
+}
+
+/** Messages of every alldead verdict, in report order. */
+std::vector<std::string>
+allDeadMessages(const Runtime &rt)
+{
+    std::vector<std::string> out;
+    for (const Violation &v : rt.violations())
+        if (v.kind == AssertionKind::AllDead)
+            out.push_back(v.message);
+    return out;
+}
+
+std::string
+labeledMessage(const std::string &label)
+{
+    return "an object allocated in assert-alldead region '" + label +
+           "' is reachable.";
+}
+
+const char *const kUnlabeledMessage =
+    "an object allocated in an assert-alldead region is reachable.";
+
+TEST(Server, StaleLabelDoesNotSurviveAMinorGc)
+{
+    // A minor GC frees a flushed object of a labeled region, and an
+    // unlabeled region's object later lands on the same cell. Its
+    // leak must be reported without the dead object's label: the
+    // label lives in the header tag, which reformatting the reused
+    // cell clears. (An address-keyed label map kept the old entry
+    // and named 'labeled-req-1' here.)
+    CaptureLogSink capture;
+    RuntimeConfig config = RuntimeConfig::infra(8 * 1024 * 1024);
+    config.generational = true;
+    config.nurseryKb = 256;
+    config.tlab = false;
+    Runtime rt(config);
+    TypeId node = rt.types().define("Node").refs({"next"}).build();
+    Handle keeper(rt, rt.allocRaw(node), "keeper");
+
+    rt.startRegion(nullptr, "labeled-req-1");
+    Object *dead = rt.allocRaw(node);
+    rt.assertAllDead();
+    rt.collectMinor();
+    ASSERT_FALSE(rt.heap().contains(dead))
+        << "the minor GC must free the flushed object";
+
+    rt.startRegion();
+    Object *reused = nullptr;
+    for (int i = 0; i < 4096 && reused == nullptr; ++i) {
+        Object *obj = rt.allocRaw(node);
+        if (obj == dead)
+            reused = obj;
+    }
+    ASSERT_NE(reused, nullptr) << "no allocation reused the freed cell";
+    rt.writeRef(keeper.get(), 0, reused);
+    rt.assertAllDead();
+    rt.collect();
+
+    ASSERT_EQ(verdictCount(rt), 1u);
+    EXPECT_EQ(allDeadMessages(rt),
+              std::vector<std::string>{kUnlabeledMessage});
+}
+
+TEST(Server, RegionLabelSurvivesAnOwnedByOnTheSameObject)
+{
+    // The header tag field holds either an owner tag or a region
+    // label tag. An object that is both an ownee and a labeled
+    // region object keeps its label in the fallback map, whichever
+    // assertion came first, and its owner tag keeps working.
+    for (bool region_first : {true, false}) {
+        SCOPED_TRACE(region_first ? "region first" : "ownee first");
+        CaptureLogSink capture;
+        Runtime rt(RuntimeConfig::infra(8 * 1024 * 1024));
+        TypeId node = rt.types().define("Node").refs({"next"}).build();
+        Handle owner(rt, rt.allocRaw(node), "owner");
+        // Takes label slot 1, so the label of interest (slot 2)
+        // differs from the owner tag (1).
+        rt.startRegion(nullptr, "req-first");
+        rt.allocRaw(node);
+        rt.assertAllDead();
+
+        rt.startRegion(nullptr, "req-owned");
+        Object *obj = rt.allocRaw(node);
+        rt.writeRef(owner.get(), 0, obj);
+        if (region_first) {
+            rt.assertAllDead();
+            rt.assertOwnedBy(owner.get(), obj);
+        } else {
+            rt.assertOwnedBy(owner.get(), obj);
+            rt.assertAllDead();
+        }
+        EXPECT_EQ(obj->ownerTag(),
+                  rt.engine().ownership().ownerTagOf(owner.get()));
+        rt.collect();
+
+        ASSERT_EQ(verdictCount(rt), 1u);
+        EXPECT_EQ(allDeadMessages(rt),
+                  std::vector<std::string>{labeledMessage("req-owned")});
+        EXPECT_TRUE(HeapVerifier(rt).verify().empty());
+    }
+}
+
+TEST(Server, StickyReReportCarriesNoLabel)
+{
+    // Sticky dead assertions re-report a survivor at every GC. Only
+    // the first report names the region: the label table belongs to
+    // the cycle the region was flushed in.
+    CaptureLogSink capture;
+    RuntimeConfig config = RuntimeConfig::infra(8 * 1024 * 1024);
+    config.engine.stickyDeadAssertions = true;
+    Runtime rt(config);
+    TypeId node = rt.types().define("Node").refs({"next"}).build();
+    Handle keeper(rt, rt.allocRaw(node), "keeper");
+
+    rt.startRegion(nullptr, "req-sticky");
+    rt.writeRef(keeper.get(), 0, rt.allocRaw(node));
+    rt.assertAllDead();
+    rt.collect();
+    // A later labeled region reuses table slot 1 in the new cycle.
+    rt.startRegion(nullptr, "req-later");
+    rt.allocRaw(node);
+    rt.assertAllDead();
+    rt.collect();
+
+    EXPECT_EQ(allDeadMessages(rt),
+              (std::vector<std::string>{labeledMessage("req-sticky"),
+                                        kUnlabeledMessage}));
+    EXPECT_TRUE(HeapVerifier(rt).verify().empty());
+}
+
+TEST(Server, RevivedFinalizableLosesItsLabel)
+{
+    // An unreachable flushed object with a finalizer is revived by
+    // the collector without a verdict. If its finalizer resurrects
+    // it, the next GC reports it like any survivor of an earlier
+    // cycle: without a label, and in particular not with the label
+    // of a region flushed in the new cycle.
+    CaptureLogSink capture;
+    Runtime rt(RuntimeConfig::infra(8 * 1024 * 1024));
+    TypeId node =
+        rt.types().define("Node").refs({"next"}).scalars(8).build();
+    Handle keeper(rt, rt.allocRaw(node), "keeper");
+
+    rt.startRegion(nullptr, "req-finalized");
+    Object *obj = rt.allocRaw(node);
+    rt.setFinalizer(obj, [&](Object *self) {
+        rt.writeRef(keeper.get(), 0, self);
+    });
+    rt.assertAllDead();
+    rt.collect();
+    EXPECT_EQ(verdictCount(rt), 0u);
+
+    rt.startRegion(nullptr, "req-other");
+    rt.allocRaw(node);
+    rt.assertAllDead();
+    rt.collect();
+    EXPECT_EQ(allDeadMessages(rt),
+              std::vector<std::string>{kUnlabeledMessage});
+}
+
+TEST(Server, ParallelMarkNamesTheSameRegions)
+{
+    // Parallel markers read the label tag from their flag-word
+    // snapshot; the report text must match sequential marking.
+    auto run = [](uint32_t mark_threads) {
+        CaptureLogSink capture;
+        RuntimeConfig config = RuntimeConfig::infra(8 * 1024 * 1024);
+        config.recordPaths = false;
+        config.markThreads = mark_threads;
+        Runtime rt(config);
+        TypeId node = rt.types().define("Node").refs({"next"}).build();
+        Handle keeper(rt, rt.allocRaw(node), "keeper");
+        Object *tail = keeper.get();
+        for (int r = 0; r < 64; ++r) {
+            if (r % 3 == 0)
+                rt.startRegion();
+            else
+                rt.startRegion(nullptr, "req-" + std::to_string(r));
+            for (int i = 0; i < 8; ++i) {
+                Object *obj = rt.allocRaw(node);
+                if (i == r % 8 && r % 2 == 0) {
+                    rt.writeRef(tail, 0, obj);
+                    tail = obj;
+                }
+            }
+            rt.assertAllDead();
+        }
+        rt.collect();
+        std::vector<std::string> messages = allDeadMessages(rt);
+        std::sort(messages.begin(), messages.end());
+        return messages;
+    };
+    std::vector<std::string> sequential = run(1);
+    EXPECT_EQ(sequential.size(), 32u);
+    EXPECT_EQ(std::count(sequential.begin(), sequential.end(),
+                         labeledMessage("req-2")),
+              1);
+    EXPECT_EQ(run(4), sequential);
+}
+
+TEST(Server, RegionsPastTheTagFieldUseTheFallbackMap)
+{
+    // One GC cycle with more labeled regions than the tag field can
+    // index: the overflow regions keep their labels in the fallback
+    // map. Leak one object from each side of the boundary. The
+    // nursery keeps the heap small (the scratch dies in minor GCs,
+    // which leave the label table alone), and lets a minor GC free
+    // one more overflow object whose cell an unlabeled region then
+    // reuses: that leak must not inherit the fallback entry.
+    CaptureLogSink capture;
+    RuntimeConfig config = RuntimeConfig::infra(64 * 1024 * 1024);
+    config.generational = true;
+    config.nurseryKb = 256;
+    config.tlab = false;
+    Runtime rt(config);
+    TypeId leaf = rt.types().define("Leaf").build();
+    TypeId holder =
+        rt.types().define("Holder").refs({"a", "b", "c"}).build();
+    Handle keeper(rt, rt.allocRaw(holder), "keeper");
+
+    const uint32_t regions = kMaxOwnerTag + 2;
+    for (uint32_t r = 1; r <= regions; ++r) {
+        rt.startRegion(nullptr, "r" + std::to_string(r));
+        Object *obj = rt.allocRaw(leaf);
+        if (r == kMaxOwnerTag)
+            rt.writeRef(keeper.get(), 0, obj);
+        if (r == regions)
+            rt.writeRef(keeper.get(), 1, obj);
+        rt.assertAllDead();
+    }
+
+    rt.startRegion(nullptr, "r-dead");
+    Object *dead = rt.allocRaw(leaf);
+    rt.assertAllDead();
+    rt.collectMinor();
+    ASSERT_FALSE(rt.heap().contains(dead));
+    rt.startRegion();
+    Object *reused = nullptr;
+    for (int i = 0; i < 4096 && reused == nullptr; ++i) {
+        Object *obj = rt.allocRaw(leaf);
+        if (obj == dead)
+            reused = obj;
+    }
+    ASSERT_NE(reused, nullptr) << "no allocation reused the freed cell";
+    rt.writeRef(keeper.get(), 2, reused);
+    rt.assertAllDead();
+    ASSERT_EQ(rt.gcStats().collections, 0u)
+        << "a full GC before this point would reset the label table";
+    EXPECT_GT(rt.gcStats().minorCollections, 0u);
+    rt.collect();
+
+    std::vector<std::string> messages = allDeadMessages(rt);
+    std::sort(messages.begin(), messages.end());
+    std::vector<std::string> expected = {
+        labeledMessage("r" + std::to_string(kMaxOwnerTag)),
+        labeledMessage("r" + std::to_string(regions)),
+        kUnlabeledMessage};
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(messages, expected);
 }
 
 TEST(Server, RequestMetricsGaugesAreRegistered)

@@ -73,6 +73,43 @@ TEST_F(VerifierTest, DetectsOwnerTagOnNonOwnee)
     root->setOwnerTag(0);
 }
 
+TEST_F(VerifierTest, AcceptsRegionTagOnlyOnFlushedRegionObjects)
+{
+    // A flushed object of a labeled region (kRegionBit|kDeadBit)
+    // carries its label tag in the tag field until the next full GC
+    // settles it; that is not a stray tag.
+    Handle root = rootedNode(0);
+    runtime_->startRegion(nullptr, "req-verify");
+    Object *flushed = node(1);
+    root->setRef(0, flushed);
+    runtime_->assertAllDead();
+    ASSERT_NE(flushed->ownerTag(), 0u);
+    EXPECT_TRUE(verifier_.verify().empty());
+
+    // Any other non-ownee with a tag still is one: a region object
+    // still on its queue (no dead bit) and a plain assert-dead object.
+    Handle dead = rootedNode(3);
+    runtime_->assertDead(dead.get());
+    dead->setOwnerTag(6);
+    runtime_->startRegion();
+    Object *queued = node(2);
+    root->setRef(1, queued);
+    queued->setOwnerTag(5);
+    auto issues = verifier_.verify();
+    ASSERT_EQ(issues.size(), 2u);
+    for (const VerifierIssue &issue : issues)
+        EXPECT_NE(issue.what.find("owner tag"), std::string::npos);
+    queued->setOwnerTag(0);
+    dead->setOwnerTag(0);
+    runtime_->assertAllDead();
+
+    // The collection reports the flushed object (it is reachable)
+    // and clears its tag; the heap verifies clean afterwards.
+    runtime_->collect();
+    EXPECT_EQ(flushed->ownerTag(), 0u);
+    EXPECT_TRUE(verifier_.verify().empty());
+}
+
 TEST_F(VerifierTest, DetectsOrphanWithoutDead)
 {
     Handle root = rootedNode(0);
